@@ -45,45 +45,44 @@ Three mechanisms keep the boundary cheaper than the work it distributes
 Fault tolerance
 ---------------
 
-:meth:`ExecutionEngine.execute_resilient` extends the contract to failing
-units: a failed unit is retried up to ``plan.max_retries`` times (with
-bounded exponential backoff and an optional per-unit deadline), then
+:meth:`ExecutionEngine.execute` is the one execution path.  A failed
+unit is retried up to ``plan.max_retries`` times (with bounded
+exponential backoff and an optional per-unit deadline), then
 **quarantined** — its apps are re-run solo, each with its own retry
 budget, so one poisoned app cannot take a whole chunk's results down.
 Apps that still fail become :class:`~repro.core.exec.faults.UnitFailure`
-records in the returned :class:`ExecutionOutcome` instead of exceptions.
+records in the returned :class:`ExecutionOutcome` instead of exceptions;
+``max_retries=0`` with ``quarantine=False`` is the strictest ladder.
 The ladder is reserved for *retryable* faults: deterministic programming
 errors (:data:`~repro.core.exec.faults.NON_RETRYABLE_ERRORS`, e.g. an
-``AttributeError`` inside a detector) propagate immediately instead of
-being retried or quarantined into the ledger.
+``AttributeError`` inside a detector) propagate immediately, after the
+pool is shut down with queued units cancelled.
 Because unit purity makes retries and solo re-runs reproduce exactly what
 an untroubled run would have computed, the surviving results remain
 bit-for-bit identical to a fault-free run — the ledger is the only
-difference.  An optional
-:class:`~repro.core.exec.checkpoint.StudyCheckpoint` journals completed
-units so a killed run can resume where it left off.
+difference.
 
-Incremental execution
----------------------
+Incremental execution and resume
+--------------------------------
 
 An optional :class:`~repro.core.exec.resultstore.ResultStore` makes
 repeated runs incremental: before dispatching a unit the engine asks the
 store for it (every app's entry must hit), and every completed unit is
-published back, one content-addressed entry per app.  Because store keys
-fingerprint exactly the inputs a result is a function of — corpus
-configuration, capture window, stage, app id, per-app stage config, and
-a code-version salt — a warm run recomputes only fingerprint misses and
-still merges to bit-for-bit the same study as a cold run, at any worker
-count.  The checkpoint journal remains the intra-run safety net (scoped
-to one run configuration); the store is the cross-run memo.
+published back as it finishes, one content-addressed entry per app.
+Because store keys fingerprint exactly the inputs a result is a function
+of — corpus configuration, capture window, stage, app id, per-app stage
+config, and the package's code fingerprint — a warm run recomputes only
+fingerprint misses and still merges to bit-for-bit the same study as a
+cold run, at any worker count.  The same store is how a killed run
+resumes: run it again with the same store.
 
 Stage-granular recomputation (DESIGN.md §15): a unit that misses at the
 app level may still have warm *stage* artifacts on disk (a config flip
-invalidated only the downstream suffix of its stage graph).  The engine
-probes for those and runs such units in the parent process with the
-stage cache attached — pool workers have no store handle, so partial
-recomputation is parent-side by construction — while fully cold units
-still ship to the pool.
+invalidated only the downstream suffix of its stage graph, or a killed
+run published some of its apps).  The engine probes for those and runs
+such units in the parent process with the stage cache attached — pool
+workers have no store handle, so partial recomputation is parent-side by
+construction — while fully cold units still ship to the pool.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import obs
 from repro.core.exec import costmodel
-from repro.core.exec.checkpoint import StudyCheckpoint, split_unit
 from repro.core.exec.faults import (
     FaultPredicate,
     InjectedFault,
@@ -112,6 +110,22 @@ from repro.corpus.spec import CorpusSpec
 #: is the pre-launch wait for dynamic units and the per-index pinned
 #: destination tuples for circumvention units.
 WorkUnit = Tuple[str, str, str, Tuple[int, ...], object]
+
+
+def split_unit(unit: WorkUnit) -> List[WorkUnit]:
+    """Split a unit into per-app solo units (quarantine).
+
+    Circumvention units carry per-index pinned sets in ``extra``; those
+    are sliced along with the indices, like
+    :meth:`ExecutionEngine.units_for` does.
+    """
+    kind, platform, dataset, indices, extra = unit
+    if kind == "circumvent":
+        return [
+            (kind, platform, dataset, (index,), (pins,))
+            for index, pins in zip(indices, extra)
+        ]
+    return [(kind, platform, dataset, (index,), extra) for index in indices]
 
 
 @dataclass
@@ -558,13 +572,13 @@ class ExecutionEngine:
         recorder: optional telemetry recorder (see :mod:`repro.core.obs`).
             When set, every unit runs under a span, workers stream
             per-unit telemetry snapshots back with their results, and the
-            engine counts retries, quarantines, failures, journal replays
+            engine counts retries, quarantines, failures, store skips
             and pool-boundary traffic (``exec.ipc.*``).  Must be set
             before the worker pool is first used (pool initialisation
             bakes the telemetry flag in).  Results are bit-for-bit
             identical with and without a recorder.
         store: optional :class:`~repro.core.exec.resultstore.ResultStore`.
-            When set, resilient execution consults it before dispatching
+            When set, execution consults it before dispatching
             each unit (a full per-app hit skips the unit entirely) and
             publishes completed units back.  Results are bit-for-bit
             identical with and without a store, warm or cold.
@@ -622,7 +636,7 @@ class ExecutionEngine:
 
         An engine-owned pool is shut down; ``cancel_futures`` drops
         queued-but-unpicked work instead of draining it — the error-path
-        contract: a failed strict run must neither leak worker processes
+        contract: a failed run must neither leak worker processes
         nor burn time finishing work whose results will never be
         consumed.  A *shared* :class:`WarmPool` is merely detached: its
         owner decides when the warm state dies.
@@ -857,72 +871,26 @@ class ExecutionEngine:
             units.append((kind, key[0], key[1], block, unit_extra))
         return units
 
-    # -- strict execution --------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
-    def execute(self, units: Sequence[WorkUnit]) -> List[list]:
-        """Run units strictly: any worker exception propagates.
+    def execute(self, units: Sequence[WorkUnit]) -> ExecutionOutcome:
+        """Run units with retry, quarantine, and an error ledger.
 
         Returns per-unit results in submission order.  The serial path
         (by plan, or by adaptive fallback) runs them in-process;
         otherwise units flow through the bounded dispatch window and are
         merged by submission position, so completion order cannot leak
-        into the output.  On error the pool is shut down with
-        ``cancel_futures=True`` before the exception propagates — a
-        failed strict run must neither leak worker processes nor drain
-        the queued remainder of the batch first.
-        """
-        units = list(units)
-        try:
-            if not self._use_pool(units):
-                results = []
-                for unit in units:
-                    results.append(self._run_local(unit))
-                    self._count("exec.units.completed")
-                return results
-            pool = self._ensure_pool()
-            results: List[Optional[list]] = [None] * len(units)
-
-            def on_done(position: int, unit: WorkUnit, future) -> None:
-                results[position] = self._collect(future)
-                self._count("exec.units.completed")
-
-            self._dispatch_windowed(pool, enumerate(units), on_done)
-            return list(results)
-        except BaseException:
-            self.close(cancel_futures=True)
-            raise
-
-    def map_dataset(
-        self,
-        kind: str,
-        key: Tuple[str, str],
-        indices: Sequence[int],
-        extra: object = None,
-    ) -> list:
-        """Shard, execute (strictly) and concatenate one dataset's units."""
-        results = self.execute(self.units_for(kind, key, indices, extra))
-        return [item for unit_result in results for item in unit_result]
-
-    # -- fault-tolerant execution ------------------------------------------
-
-    def execute_resilient(
-        self,
-        units: Sequence[WorkUnit],
-        checkpoint: Optional[StudyCheckpoint] = None,
-    ) -> ExecutionOutcome:
-        """Run units with retry, quarantine, and an error ledger.
-
-        Journaled units (when ``checkpoint`` is given) are replayed
-        without executing; completed units are journaled as they finish.
-        With a result store attached, units whose every app is already
-        stored are composed from the store instead of dispatched, and
-        completed units are published back for later runs.  Never raises
-        for *retryable* per-unit failures — they land in the outcome's
-        ledger.  Non-retryable failures
+        into the output.  With a result store attached, units whose
+        every app is already stored are composed from the store instead
+        of dispatched, and completed units are published back as they
+        finish.  Never raises for *retryable* per-unit failures — they
+        land in the outcome's ledger.  Non-retryable failures
         (:data:`~repro.core.exec.faults.NON_RETRYABLE_ERRORS` —
         programming errors a retry cannot cure) propagate immediately,
-        as do unexpected scheduler-level errors and interrupts, after
-        the pool is released.
+        as do unexpected scheduler-level errors and interrupts — after
+        the pool is shut down with ``cancel_futures=True``, so a failed
+        run neither leaks worker processes nor drains the queued
+        remainder of the batch first.
         """
         units = list(units)
         if self.store is not None:
@@ -938,21 +906,12 @@ class ExecutionEngine:
         failures: List[UnitFailure] = []
         pending: List[Tuple[int, WorkUnit]] = []
         for position, unit in enumerate(units):
-            cached = checkpoint.lookup(unit) if checkpoint is not None else None
-            if cached is not None:
-                unit_results[position] = cached
-                self._count("journal.units.skipped")
-                continue
             stored = (
                 self.store.lookup_unit(unit)
                 if self.store is not None
                 else None
             )
             if stored is not None:
-                # A store hit also enters the journal so an interrupted
-                # warm run resumes without re-consulting the store.
-                if checkpoint is not None:
-                    checkpoint.record(unit, stored)
                 unit_results[position] = stored
                 self._count("store.units.skipped")
             else:
@@ -982,12 +941,12 @@ class ExecutionEngine:
         try:
             for position, unit in partial:
                 unit_results[position] = self._run_with_recovery(
-                    unit, failures, checkpoint, use_pool=False
+                    unit, failures, use_pool=False
                 )
             if not use_pool:
                 for position, unit in pending:
                     unit_results[position] = self._run_with_recovery(
-                        unit, failures, checkpoint, use_pool=False
+                        unit, failures, use_pool=False
                     )
             else:
                 pool = self._ensure_pool()
@@ -1004,22 +963,16 @@ class ExecutionEngine:
                             self._count("exec.faults.nonretryable")
                             raise
                         unit_results[position] = self._run_with_recovery(
-                            unit,
-                            failures,
-                            checkpoint,
-                            first_error=exc,
-                            use_pool=True,
+                            unit, failures, first_error=exc, use_pool=True
                         )
                     else:
-                        if checkpoint is not None:
-                            checkpoint.record(unit, result)
                         self._publish(unit, result)
                         unit_results[position] = result
                         self._count("exec.units.completed")
 
                 self._dispatch_windowed(pool, pending, on_done)
         except BaseException:
-            self.close()
+            self.close(cancel_futures=True)
             raise
 
         return ExecutionOutcome(
@@ -1027,18 +980,15 @@ class ExecutionEngine:
             failures,
         )
 
-    def map_dataset_resilient(
+    def map_dataset(
         self,
         kind: str,
         key: Tuple[str, str],
         indices: Sequence[int],
         extra: object = None,
-        checkpoint: Optional[StudyCheckpoint] = None,
     ) -> ExecutionOutcome:
-        """Shard and execute one dataset's units fault-tolerantly."""
-        return self.execute_resilient(
-            self.units_for(kind, key, indices, extra), checkpoint
-        )
+        """Shard and execute one dataset's units."""
+        return self.execute(self.units_for(kind, key, indices, extra))
 
     # -- recovery internals ------------------------------------------------
 
@@ -1101,7 +1051,6 @@ class ExecutionEngine:
         self,
         unit: WorkUnit,
         failures: List[UnitFailure],
-        checkpoint: Optional[StudyCheckpoint],
         first_error: Optional[Exception] = None,
         in_quarantine: bool = False,
         use_pool: bool = False,
@@ -1111,7 +1060,7 @@ class ExecutionEngine:
         The escalation ladder: attempt, retry up to ``plan.max_retries``
         times, then (for multi-app units) quarantine — re-run each app as
         its own solo unit through this same ladder, so only the genuinely
-        bad apps are lost.  Survivors are journaled; casualties become
+        bad apps are lost.  Survivors are published; casualties become
         :class:`UnitFailure` records.  Only *retryable* errors ride the
         ladder: a non-retryable (programming) error raises out of here
         immediately.
@@ -1129,8 +1078,6 @@ class ExecutionEngine:
                 first_error = exc
                 self._count_error(exc)
             else:
-                if checkpoint is not None:
-                    checkpoint.record(unit, result)
                 self._publish(unit, result)
                 self._count("exec.units.completed")
                 return result
@@ -1139,8 +1086,6 @@ class ExecutionEngine:
 
         result, attempts, error = self._retry(unit, first_error, use_pool)
         if result is not None:
-            if checkpoint is not None:
-                checkpoint.record(unit, result)
             self._publish(unit, result)
             self._count("exec.units.completed")
             self._count("exec.units.recovered_by_retry")
@@ -1153,11 +1098,7 @@ class ExecutionEngine:
             for solo in split_unit(unit):
                 merged.extend(
                     self._run_with_recovery(
-                        solo,
-                        failures,
-                        checkpoint,
-                        in_quarantine=True,
-                        use_pool=use_pool,
+                        solo, failures, in_quarantine=True, use_pool=use_pool
                     )
                 )
             return merged

@@ -16,9 +16,9 @@ Fingerprint composition
 A result is valid for reuse exactly when all of its inputs are
 unchanged, so the fingerprint is a SHA-256 over:
 
-* the **store schema version** and **code salt** (:data:`CODE_SALT`) —
-  bumped whenever pipeline semantics or result schemas change, so stale
-  entries from an older checkout can never hit;
+* the **store schema version** and the **code fingerprint**
+  (:func:`code_fingerprint`) — a digest of the package sources a result
+  can depend on, so an entry written by different code never hits;
 * the **corpus fingerprint** — seed plus per-dataset sizes.  Per-app
   results are *not* reusable across corpus configurations: the CT log,
   endpoint registry and root stores are built from the whole corpus, so
@@ -40,7 +40,7 @@ Store layout
 ::
 
     store/
-      store.json             # informational manifest (version, salt)
+      store.json             # informational manifest (magic, version)
       objects/<ff>/<fingerprint>.pkl
 
 Each entry is a self-describing pickled envelope
@@ -62,9 +62,17 @@ is counted, warned about, deleted, and treated as a miss so the engine
 recomputes and republishes it.  A programming error during unpickling —
 e.g. an ``AttributeError`` from a renamed result class — propagates
 instead: it is not corruption, and silently recomputing would hide the
-missing :data:`CODE_SALT` bump behind a warm-looking run.  Writes
-go through a temp file and ``os.replace`` so a killed run never leaves
-a half-written entry under a valid name.
+bug behind a warm-looking run.  Writes go through a temp file (named per
+process and thread) and ``os.replace``, so a killed run never leaves a
+half-written entry under a valid name.
+
+Resume
+------
+
+Every completed unit is published as it finishes, so the store is also
+the crash-recovery mechanism: re-running a killed or partially failed
+study against the same store recomputes only the apps it never
+published.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,21 +93,53 @@ _MAGIC = "repro-result-store"
 _ENTRY_MAGIC = "repro-result-entry"
 _VERSION = 1
 
-#: Code/schema version salt.  Bump on any change to pipeline semantics or
-#: result dataclass schemas: old entries stop hitting instead of feeding
-#: stale results into a new checkout.  v2: stage-graph fingerprints —
-#: app-level keys are now the final stage's chain key, so every config
-#: knob (not just sleep/wait/pins) enters the address.
-CODE_SALT = "pin-study-results-v2"
+#: Package sources outside :func:`code_fingerprint`: the CLI front end,
+#: stdout rendering and the service daemon cannot change a stored result.
+_UNFINGERPRINTED = ("cli.py", "reporting/", "service/")
+
+_CODE_FINGERPRINT: Optional[str] = None
+
+
+def source_fingerprint(root: Path) -> str:
+    """SHA-256 over the sorted relative path and bytes of every ``*.py``
+    under the package directory ``root``, minus :data:`_UNFINGERPRINTED`."""
+    sources = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for path in root.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in sources:
+        if relative.startswith(_UNFINGERPRINTED):
+            continue
+        blob = path.read_bytes()
+        digest.update(f"{relative}\0{len(blob)}\0".encode("utf-8"))
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+def code_fingerprint() -> str:
+    """The fingerprint of this ``repro`` package's sources.
+
+    Enters every store key: an edit to any module a result can depend on
+    re-keys every entry, so a store never serves what the current code
+    would not compute.  Computed once per process, on first use —
+    store-less runs never pay for it.
+    """
+    global _CODE_FINGERPRINT
+    if _CODE_FINGERPRINT is None:
+        _CODE_FINGERPRINT = source_fingerprint(
+            Path(__file__).resolve().parents[2]
+        )
+    return _CODE_FINGERPRINT
+
 
 #: What unpickling/validating a *damaged* entry can raise.  Truncated or
 #: bit-rotted pickle streams surface as :class:`pickle.UnpicklingError`,
 #: ``EOFError`` or one of the container errors below; the explicit
 #: envelope checks raise ``ValueError``.  Deliberately absent:
 #: ``AttributeError`` / ``ImportError`` — a payload referencing a renamed
-#: class or moved module is a code bug (a missed :data:`CODE_SALT` bump),
-#: not corruption, and must propagate instead of being silently
-#: invalidated and recomputed.
+#: class or moved module is a code bug, not corruption, and must
+#: propagate instead of being silently invalidated and recomputed.
 _CORRUPTION_ERRORS = (
     pickle.UnpicklingError,
     ValueError,
@@ -149,7 +190,7 @@ def app_fingerprint(
     identity = repr(
         (
             _VERSION,
-            CODE_SALT,
+            code_fingerprint(),
             corpus_fp,
             float(sleep_s),
             stage,
@@ -274,11 +315,7 @@ class ResultStore:
     def _ensure_layout(self) -> None:
         if not (self.root / "store.json").exists():
             self.root.mkdir(parents=True, exist_ok=True)
-            manifest = {
-                "magic": _MAGIC,
-                "version": _VERSION,
-                "salt": CODE_SALT,
-            }
+            manifest = {"magic": _MAGIC, "version": _VERSION}
             with open(self.root / "store.json", "w") as fh:
                 json.dump(manifest, fh, indent=1, sort_keys=True)
                 fh.write("\n")
@@ -389,8 +426,8 @@ class ResultStore:
         ``ImportError`` because its module moved — is a programming error
         that every entry would trip over; misreporting it as corruption
         would silently recompute the whole store while discarding it
-        entry by entry.  Those propagate so the bug (usually a missing
-        :data:`CODE_SALT` bump) gets fixed instead of papered over.
+        entry by entry.  Those propagate so the bug gets fixed instead of
+        papered over.
         """
         try:
             envelope = pickle.loads(blob)
@@ -449,7 +486,7 @@ class ResultStore:
             "sleep_s": self.sleep_s,
             "extra": repr(normalize_extra(stage, extra)),
             "corpus": self.corpus_fp,
-            "salt": CODE_SALT,
+            "code": code_fingerprint(),
             "summary": summarize_result(result),
         }
         self._write_entry(path, fingerprint, meta, result)
@@ -468,7 +505,11 @@ class ResultStore:
             hashlib.sha256(payload_blob).hexdigest(),
             payload_blob,
         )
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        # Unique per writer: concurrent runners in one process (threads)
+        # or across processes must never share a temp file.
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         with open(tmp, "wb") as fh:
             pickle.dump(envelope, fh)
         os.replace(tmp, path)
@@ -532,7 +573,7 @@ class ResultStore:
             "dataset": dataset,
             "app_id": app_id,
             "corpus": self.corpus_fp,
-            "salt": CODE_SALT,
+            "code": code_fingerprint(),
         }
         self._write_entry(path, fingerprint, meta, value)
         self.stats.stage_published += 1

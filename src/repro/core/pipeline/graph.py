@@ -229,7 +229,7 @@ class StageGraph:
     ) -> Dict[str, str]:
         """One content-address per stage, chained through the graph.
 
-        Each key hashes the store schema version and code salt, the
+        Each key hashes the store schema version and code fingerprint, the
         corpus fingerprint, the app identity, the stage's resolved
         config knobs, and the keys of its input stages — so a knob flip
         re-keys the declaring stage and its transitive downstream, and
@@ -237,9 +237,10 @@ class StageGraph:
         config names from; without one, ``overrides`` then
         :attr:`defaults` resolve them (the unbound-store path).
         """
-        from repro.core.exec.resultstore import CODE_SALT, _VERSION
+        from repro.core.exec.resultstore import _VERSION, code_fingerprint
 
         params = params or {}
+        code = code_fingerprint()
         keys: Dict[str, str] = {}
         for stage in self.stages:
             config = tuple(
@@ -249,7 +250,7 @@ class StageGraph:
             identity = repr(
                 (
                     _VERSION,
-                    CODE_SALT,
+                    code,
                     "stage",
                     corpus_fp,
                     self.kind,

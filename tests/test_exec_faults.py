@@ -1,12 +1,18 @@
 """Tests for the engine's fault-tolerance layer.
 
-Covers the escalation ladder (retry → quarantine → error ledger), the
-checkpoint journal (resume replays journaled units bit-for-bit), pool
-hygiene on strict-path errors, and graceful degradation of a full
-``Study.run()`` under injected faults.
+Covers the escalation ladder (retry → quarantine → error ledger), resume
+through the result store (a re-run replays published units bit-for-bit,
+also after the process was killed), pool hygiene on propagating errors,
+and graceful degradation of a full ``Study.run()`` under injected faults.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Tuple
 
 import pytest
@@ -16,11 +22,11 @@ from repro.core.exec import (
     ExecutionEngine,
     ExecutionPlan,
     InjectedFault,
+    ResultStore,
     SeededFaults,
-    StudyCheckpoint,
     TransientFaults,
 )
-from repro.core.exec.checkpoint import split_unit
+from repro.core.exec.engine import split_unit
 from repro.corpus import CorpusConfig, CorpusGenerator
 
 
@@ -71,7 +77,7 @@ class TestQuarantine:
         )
         units = engine.units_for("static", KEY, range(len(ids)))
         assert len(units) == 1  # one chunk holds every app
-        outcome = engine.execute_resilient(units)
+        outcome = engine.execute(units)
 
         surviving = [r.app_id for r in outcome.items]
         assert bad not in surviving
@@ -91,7 +97,7 @@ class TestQuarantine:
             ExecutionPlan(max_retries=0, chunk_size=len(ids), quarantine=False),
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert outcome.items == []
@@ -104,14 +110,16 @@ class TestQuarantine:
         clean = ExecutionEngine(tiny_corpus, ExecutionPlan())
         reference = {
             r.app_id: r.pinned_destinations
-            for r in clean.map_dataset("dynamic", KEY, range(len(ids)), 0.0)
+            for r in clean.map_dataset(
+                "dynamic", KEY, range(len(ids)), 0.0
+            ).items
         }
         engine = ExecutionEngine(
             tiny_corpus,
             ExecutionPlan(chunk_size=len(ids)),
             fault_predicate=FailApps((bad,), phases=("dynamic",)),
         )
-        outcome = engine.map_dataset_resilient(
+        outcome = engine.map_dataset(
             "dynamic", KEY, range(len(ids)), 0.0
         )
         for result in outcome.items:
@@ -128,7 +136,7 @@ class TestRetries:
             ExecutionPlan(max_retries=2, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         # Initial attempt + exactly plan.max_retries retries.
@@ -148,7 +156,7 @@ class TestRetries:
             ExecutionPlan(max_retries=1, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert outcome.failures == []
@@ -162,7 +170,7 @@ class TestRetries:
             ExecutionPlan(max_retries=0, chunk_size=1),
             fault_predicate=faults,
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(2))
         )
         assert faults.calls[("static", ids[0])] == 1
@@ -186,15 +194,16 @@ class TestRetries:
 
 class TestPoolHygiene:
     def test_strict_execute_shuts_pool_down_on_error(self, tiny_corpus):
+        """A propagating (non-retryable) error releases the pool."""
         engine = ExecutionEngine(
             tiny_corpus,
             ExecutionPlan(workers=2, chunk_size=2),
-            fault_predicate=FailApps(
-                tuple(_app_ids(tiny_corpus, KEY)[:1]), phases=("static",)
+            fault_predicate=BuggyPredicate(
+                tuple(_app_ids(tiny_corpus, KEY)[:1])
             ),
         )
         units = engine.units_for("static", KEY, range(4))
-        with pytest.raises(InjectedFault):
+        with pytest.raises(AttributeError):
             engine.execute(units)
         assert engine._pool is None
 
@@ -207,7 +216,7 @@ class TestPoolHygiene:
             fault_predicate=FailApps((bad,), phases=("static",)),
         )
         try:
-            outcome = engine.execute_resilient(
+            outcome = engine.execute(
                 engine.units_for("static", KEY, range(len(ids)))
             )
             assert [r.app_id for r in outcome.items] == [
@@ -219,25 +228,33 @@ class TestPoolHygiene:
             engine.close()
 
 
-class TestCheckpoint:
-    def test_resume_replays_journaled_units_bit_for_bit(
+GOLDEN = Path(__file__).parent / "data" / "study_scale002_golden.txt"
+
+
+class TestStoreResume:
+    def test_resume_replays_published_units_bit_for_bit(
         self, tiny_corpus, tmp_path
     ):
-        path = tmp_path / "study.ckpt"
         ids = _app_ids(tiny_corpus, KEY)
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
+        engine = ExecutionEngine(
+            tiny_corpus,
+            ExecutionPlan(),
+            store=ResultStore(tmp_path / "store", tiny_corpus),
+        )
         units = engine.units_for("dynamic", KEY, range(len(ids)), 0.0)
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            first = engine.execute_resilient(units, checkpoint)
-            assert checkpoint.completed_units == len(units)
+        first = engine.execute(units)
+        assert engine.store.stats.unit_hits == 0
 
         counter = CountingFaults()
         replay_engine = ExecutionEngine(
-            tiny_corpus, ExecutionPlan(), fault_predicate=counter
+            tiny_corpus,
+            ExecutionPlan(),
+            fault_predicate=counter,
+            store=ResultStore(tmp_path / "store", tiny_corpus),
         )
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            replayed = replay_engine.execute_resilient(units, checkpoint)
+        replayed = replay_engine.execute(units)
         assert counter.calls == {}  # nothing recomputed
+        assert replay_engine.store.stats.unit_hits == len(units)
         assert [
             (r.app_id, sorted(r.pinned_destinations))
             for r in replayed.items
@@ -255,58 +272,93 @@ class TestCheckpoint:
     def test_lookup_composes_quarantined_solo_units(
         self, tiny_corpus, tmp_path
     ):
-        path = tmp_path / "solo.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
+        store = ResultStore(tmp_path / "store", tiny_corpus)
+        engine = ExecutionEngine(tiny_corpus, ExecutionPlan(), store=store)
         unit = engine.units_for("static", KEY, range(3))[0]
-        solos = split_unit(unit)
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            for solo in solos:
-                checkpoint.record(solo, engine.execute([solo])[0])
-            composed = checkpoint.lookup(unit)
+        engine.execute(split_unit(unit))
+        composed = store.lookup_unit(unit)
         assert composed is not None
         assert [r.app_id for r in composed] == _app_ids(tiny_corpus, KEY)[:3]
 
-    def test_seed_mismatch_is_rejected(self, tiny_corpus, tmp_path):
-        path = tmp_path / "seeded.ckpt"
-        with StudyCheckpoint(path, 1, 30.0):
-            pass
-        with pytest.raises(ValueError, match="seed"):
-            StudyCheckpoint(path, 2, 30.0).open()
+    def test_partial_unit_serves_stored_apps_as_stage_hits(
+        self, tiny_corpus, tmp_path
+    ):
+        """Resume is per app: a unit killed half-way misses as a unit,
+        but on the serial path its published apps' stages are hits."""
+        store = ResultStore(tmp_path / "store", tiny_corpus)
+        engine = ExecutionEngine(tiny_corpus, ExecutionPlan(), store=store)
+        unit = engine.units_for("static", KEY, range(3))[0]
+        reference = engine.execute([unit]).items
+        for path in (tmp_path / "store" / "objects").glob("*/*.pkl"):
+            path.unlink()
+        engine.execute(split_unit(unit)[:2])
 
-    def test_truncated_tail_is_discarded(self, tiny_corpus, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        units = engine.units_for("static", KEY, range(2))
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            checkpoint.record(units[0], engine.execute(units)[0])
-        with open(path, "ab") as fh:
-            fh.write(b"\x80\x04garbage")  # killed mid-write
-        reopened = StudyCheckpoint(path, tiny_corpus.seed, 30.0).open()
-        assert reopened.completed_units == 1
-        reopened.close()
+        resumed_store = ResultStore(tmp_path / "store", tiny_corpus)
+        resumed = ExecutionEngine(
+            tiny_corpus, ExecutionPlan(), store=resumed_store
+        ).execute([unit])
+        assert resumed_store.stats.unit_misses == 1
+        # Three persisted static stages: hits for the two published apps,
+        # misses for the third only.
+        assert resumed_store.stats.stage_hits == 6
+        assert resumed_store.stats.stage_misses == 3
+        assert [
+            (r.app_id, sorted(r.all_pin_strings())) for r in resumed.items
+        ] == [(r.app_id, sorted(r.all_pin_strings())) for r in reference]
 
-    def test_key_binds_sleep_and_unit_identity(self, tiny_corpus, tmp_path):
-        path = tmp_path / "keys.ckpt"
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan())
-        unit = engine.units_for("static", KEY, range(2))[0]
-        with StudyCheckpoint(path, tiny_corpus.seed, 30.0) as checkpoint:
-            checkpoint.record(unit, engine.execute([unit])[0])
-        other_window = StudyCheckpoint(path, tiny_corpus.seed, 60.0).open()
-        assert other_window.lookup(unit) is None
-        other_window.close()
+    def test_sigkilled_study_resumes_to_golden_output(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = [
+            sys.executable, "-m", "repro", "--scale", "0.02",
+            "study", "--store", str(tmp_path / "store"),
+        ]
+        objects = tmp_path / "store" / "objects"
+        victim = subprocess.Popen(
+            argv,
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            # Entries publish in a fixed order; by 60 the first unit (the
+            # static scans of android/common) is whole.
+            while len(list(objects.glob("*/*.pkl"))) < 60:
+                assert victim.poll() is None, "run ended before the kill"
+                assert time.monotonic() < deadline, "no entries appeared"
+                time.sleep(0.01)
+            victim.send_signal(signal.SIGKILL)
+        finally:
+            victim.wait()
+        assert victim.returncode == -signal.SIGKILL
+
+        resumed = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, timeout=300
+        )
+        assert resumed.returncode == 0, resumed.stderr.decode()
+        assert resumed.stdout == GOLDEN.read_bytes()
+        stats = next(
+            line
+            for line in resumed.stderr.decode().splitlines()
+            if line.startswith("# result store:")
+        )
+        hits = int(stats.split()[3])
+        assert hits >= 1, stats
 
 
 class TestStudyDegradation:
     def test_faulted_study_completes_and_resume_converges(
         self, tiny_corpus, tmp_path
     ):
-        path = tmp_path / "study.ckpt"
+        path = tmp_path / "study.store"
         baseline = Study(tiny_corpus).run()
         assert baseline.failures == []
 
         faulted = Study(
             tiny_corpus, fault_predicate=SeededFaults(0.1, seed=7)
-        ).run(resume=path)
+        ).run(store=path)
         assert faulted.failures  # something failed...
         assert faulted.table3().render()  # ...yet the study delivered
         failed_ids = {f.app_id for f in faulted.failures}
@@ -315,7 +367,7 @@ class TestStudyDegradation:
                 baseline.dynamic_by_app(platform)
             )
 
-        resumed = Study(tiny_corpus).run(resume=path)
+        resumed = Study(tiny_corpus).run(store=path)
         assert resumed.failures == []
         assert resumed.table3().render() == baseline.table3().render()
         assert resumed.figure2().render() == baseline.figure2().render()
@@ -400,7 +452,7 @@ class TestNonRetryableErrors:
         )
         units = engine.units_for("static", KEY, range(len(ids)))
         with pytest.raises(AttributeError):
-            engine.execute_resilient(units)
+            engine.execute(units)
         # One consultation: the retry/quarantine ladder never engaged.
         assert predicate.calls == 1
         assert recorder.counter_value("exec.faults.nonretryable") == 1
@@ -414,7 +466,7 @@ class TestNonRetryableErrors:
         )
         try:
             with pytest.raises(AttributeError):
-                engine.execute_resilient(
+                engine.execute(
                     engine.units_for("static", KEY, range(len(ids)))
                 )
         finally:
@@ -429,7 +481,7 @@ class TestNonRetryableErrors:
             ExecutionPlan(max_retries=1, chunk_size=len(ids)),
             fault_predicate=FailApps((ids[1],), phases=("static",)),
         )
-        outcome = engine.execute_resilient(
+        outcome = engine.execute(
             engine.units_for("static", KEY, range(len(ids)))
         )
         assert [f.app_id for f in outcome.failures] == [ids[1]]

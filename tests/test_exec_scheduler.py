@@ -1,5 +1,5 @@
 """Tests for the cost-aware scheduler: chunk sizing, the parallel-vs-
-serial decision, the bounded dispatch window, and strict-path cleanup.
+serial decision, the bounded dispatch window, and error-path cleanup.
 
 The cost model's thresholds are part of the engine's documented
 behaviour (DESIGN.md §11), so they are asserted at explicit values with
@@ -8,6 +8,7 @@ explicit CPU counts — no test here depends on the machine it runs on.
 
 import threading
 from concurrent.futures import Future
+from dataclasses import dataclass
 
 import pytest
 
@@ -205,11 +206,12 @@ class TestAdaptiveFallback:
         with ExecutionEngine(
             tiny_corpus, plan, recorder=recorder
         ) as engine:
-            results = engine.execute(
+            outcome = engine.execute(
                 [("static", "android", "common", (0, 1), None)]
             )
             assert engine._pool is None
-        assert len(results) == 1 and len(results[0]) == 2
+        assert len(outcome.unit_results) == 1
+        assert len(outcome.unit_results[0]) == 2
         assert recorder.counter_value("exec.sched.serial_fallbacks") == 1
         assert recorder.counter_value("exec.sched.parallel_batches") == 0
 
@@ -231,12 +233,25 @@ class TestAdaptiveFallback:
         )
 
 
+@dataclass(frozen=True)
+class _StaticBug:
+    """Picklable fault predicate raising a programming error on every
+    static app — non-retryable, so it propagates out of ``execute``."""
+
+    def __call__(self, phase: str, app_id: str) -> bool:
+        if phase == "static":
+            raise AttributeError("simulated scanner bug")
+        return False
+
+
 class TestStrictCleanup:
     def test_failed_strict_run_cancels_queued_work(self, tiny_corpus):
-        """The strict error path shuts the pool down with
+        """A propagating error shuts the pool down with
         ``cancel_futures=True`` — queued units are dropped, not drained."""
         calls = []
-        engine = ExecutionEngine(tiny_corpus, ExecutionPlan(workers=2))
+        engine = ExecutionEngine(
+            tiny_corpus, ExecutionPlan(workers=2), fault_predicate=_StaticBug()
+        )
         original = engine.close
 
         def spying_close(cancel_futures=False):
@@ -244,10 +259,7 @@ class TestStrictCleanup:
             original(cancel_futures=cancel_futures)
 
         engine.close = spying_close
-        units = _units("static", 3, 2) + [
-            ("explodes", "android", "common", (0,), None)
-        ]
-        with pytest.raises(ValueError):
-            engine.execute(units)
+        with pytest.raises(AttributeError):
+            engine.execute(_units("static", 3, 2))
         assert calls == [True]
         assert engine._pool is None

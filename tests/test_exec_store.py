@@ -143,19 +143,28 @@ class TestCorruptionFallback:
         assert healed.stats.unit_misses == 0
 
 
-class TestCheckpointInterplay:
-    def test_store_hits_enter_the_journal(
+class TestResume:
+    def test_partially_published_store_resumes(
         self, corpus, store_dir, cold, tmp_path
     ):
+        """A store missing entries (a killed run) resumes bit-for-bit:
+        only the missing apps recompute, and they are published."""
+        import shutil
+
         cold_results, _ = cold
-        journal = tmp_path / "warm.ckpt"
-        store = ResultStore(store_dir, corpus)
-        warm = Study(corpus).run(resume=str(journal), store=store)
-        assert_same_results(cold_results, warm)
-        assert journal.exists() and journal.stat().st_size > 0
-        # A resume-only re-run replays the journal without the store.
-        resumed = Study(corpus).run(resume=str(journal))
+        partial = tmp_path / "partial"
+        shutil.copytree(store_dir, partial)
+        entries = sorted((partial / "objects").glob("*/*.pkl"))
+        for path in entries[::3]:
+            path.unlink()
+        store = ResultStore(partial, corpus)
+        resumed = Study(corpus).run(store=store)
         assert_same_results(cold_results, resumed)
+        assert store.stats.unit_misses > 0
+        assert store.stats.published + store.stats.stage_published > 0
+        healed = ResultStore(partial, corpus)
+        assert_same_results(cold_results, Study(corpus).run(store=healed))
+        assert healed.stats.unit_misses == 0
 
 
 class TestFaultedRuns:

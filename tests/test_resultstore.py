@@ -8,16 +8,21 @@ invalidated with a ``RuntimeWarning`` and recomputed, never trusted.
 from __future__ import annotations
 
 import pickle
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core import obs
+from repro.core.exec import resultstore
 from repro.core.exec.resultstore import (
-    CODE_SALT,
     ResultStore,
     app_fingerprint,
+    code_fingerprint,
     corpus_fingerprint,
     normalize_extra,
+    source_fingerprint,
     summarize_result,
 )
 from repro.corpus import CorpusConfig, CorpusGenerator
@@ -103,8 +108,68 @@ class TestFingerprints:
         ).generate()
         assert fp != corpus_fingerprint(other)
 
-    def test_salt_enters_fingerprint(self):
-        assert CODE_SALT  # bumping it must invalidate — see fingerprint body
+    def test_salt_enters_fingerprint(self, monkeypatch):
+        """The code fingerprint salts every key: new code, new keys."""
+        key = ("c", 30.0, "dynamic", "android", "popular", "x", 0.0)
+        before = app_fingerprint(*key)
+        monkeypatch.setattr(resultstore, "_CODE_FINGERPRINT", "0" * 64)
+        assert app_fingerprint(*key) != before
+
+
+PACKAGE = Path(resultstore.__file__).resolve().parents[2]
+
+
+@pytest.fixture
+def package_copy(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return copy
+
+
+def _append(path: Path, text: str = "\n# edited\n") -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class TestCodeFingerprint:
+    def test_is_the_fingerprint_of_this_package(self):
+        assert code_fingerprint() == source_fingerprint(PACKAGE)
+
+    def test_stage_module_edit_changes_it(self, package_copy):
+        before = source_fingerprint(package_copy)
+        _append(package_copy / "core" / "dynamic" / "detector.py")
+        assert source_fingerprint(package_copy) != before
+
+    def test_front_end_edits_leave_it(self, package_copy):
+        before = source_fingerprint(package_copy)
+        _append(package_copy / "cli.py")
+        _append(package_copy / "reporting" / "render.py")
+        _append(package_copy / "service" / "daemon.py")
+        assert source_fingerprint(package_copy) == before
+
+    def test_warm_store_misses_every_unit_after_a_source_edit(
+        self, corpus, package_copy, tmp_path, monkeypatch
+    ):
+        from repro.core.analysis import Study
+
+        Study(corpus).run(store=tmp_path / "store")
+        warm = ResultStore(tmp_path / "store", corpus)
+        Study(corpus).run(store=warm)
+        assert warm.stats.unit_misses == 0
+
+        _append(package_copy / "core" / "dynamic" / "detector.py")
+        monkeypatch.setattr(
+            resultstore,
+            "_CODE_FINGERPRINT",
+            source_fingerprint(package_copy),
+        )
+        stale = ResultStore(tmp_path / "store", corpus)
+        Study(corpus).run(store=stale)
+        assert stale.stats.unit_hits == 0
+        assert stale.stats.unit_misses > 0
+        assert stale.stats.stage_hits == 0
 
 
 class TestSummaries:
@@ -181,6 +246,42 @@ class TestRoundTrip:
         )
         b = ResultStore(tmp_path / "s", corpus, sleep_s=60.0)
         assert b.lookup_app("dynamic", "ios", "common", "app-6", 0.0) is None
+
+
+class TestConcurrentPublish:
+    def test_threads_publishing_one_entry_decode_cleanly(
+        self, corpus, tmp_path
+    ):
+        """Writers racing on one entry never share a temp file."""
+        app_ids = [f"app-{n}" for n in range(40)]
+        barrier = threading.Barrier(6)
+        errors = []
+
+        def publish():
+            store = ResultStore(tmp_path / "s", corpus)
+            barrier.wait()
+            try:
+                for app_id in app_ids:
+                    store.publish_app(
+                        "dynamic", "ios", "common", app_id, 0.0,
+                        FakeResult(app_id, {"api.example.com"}),
+                    )
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        threads = [threading.Thread(target=publish) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        reader = ResultStore(tmp_path / "s", corpus)
+        for app_id in app_ids:
+            assert reader.lookup_app(
+                "dynamic", "ios", "common", app_id, 0.0
+            ) == FakeResult(app_id, {"api.example.com"})
+        assert reader.stats.invalidated == 0
+        assert not list((tmp_path / "s" / "objects").glob("*/.*.tmp"))
 
 
 class TestUnits:
@@ -321,7 +422,7 @@ class TestTelemetry:
 class TestProgrammingErrorsPropagate:
     """Only corruption-shaped errors invalidate an entry.  A payload that
     unpickles into a renamed/moved class is a programming error (a missed
-    CODE_SALT bump) and must propagate, not warn-and-recompute."""
+    code change) and must propagate, not warn-and-recompute."""
 
     def test_renamed_result_class_raises_on_lookup(
         self, corpus, tmp_path, monkeypatch

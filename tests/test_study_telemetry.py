@@ -3,7 +3,7 @@
 The contract under test: ``Study.run(recorder=...)`` produces bit-for-bit
 the same results as an uninstrumented run, for any worker count, while
 the recorder's counters agree with independently observable quantities
-(the error ledger, known cache workloads, journal replays).
+(the error ledger, known cache workloads, store replays).
 """
 
 import pytest
@@ -123,16 +123,18 @@ class TestCounterAccuracy:
         # Persistent faults in multi-app chunks must trigger quarantine.
         assert recorder.counter_value("exec.units.quarantined") > 0
 
-    def test_journal_counters_on_resume(self, tiny_corpus, tmp_path):
-        journal = tmp_path / "study.ckpt"
-        first = Study(tiny_corpus).run(resume=str(journal))
+    def test_store_counters_on_resume(self, tiny_corpus, tmp_path):
+        store = tmp_path / "study.store"
+        first = Study(tiny_corpus).run(store=str(store))
         recorder = obs.Recorder()
-        second = Study(tiny_corpus).run(resume=str(journal), recorder=recorder)
+        second = Study(tiny_corpus).run(store=str(store), recorder=recorder)
         assert _fingerprint(second) == _fingerprint(first)
-        # Everything was journaled, so the resumed run replays all units.
-        assert recorder.counter_value("journal.units.skipped") > 0
+        # Everything was published, so the resumed run computes nothing.
+        skipped = recorder.counter_value("store.units.skipped")
+        assert skipped > 0
+        assert recorder.counter_value("store.units.hit") == skipped
+        assert recorder.counter_value("store.units.miss") == 0
         assert recorder.counter_value("exec.units.completed") == 0
-        assert recorder.counter_value("journal.records.recovered") > 0
 
     def test_ctlog_search_cache_counters(self):
         from repro.pki.authority import PKIHierarchy

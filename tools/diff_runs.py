@@ -15,7 +15,7 @@ Compares every entry of two content-addressed result stores (see
   disappeared);
 * entries whose semantic identity matches but whose result **summary**
   differs (same app, same stage config, different measurement — a
-  code-behaviour change the fingerprint salt should have caught).
+  code-behaviour change the code fingerprint should have caught).
 
 Comparison is over each entry's canonical summary (pinned verdict,
 sorted destination sets, static/circumvention findings), not its pickled
